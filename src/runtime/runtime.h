@@ -132,17 +132,6 @@ struct RuntimeOptions
     uint64_t seed = 0x5eed;
     /** Deque capacity (spawn depth bound). */
     std::size_t dequeCapacity = 1 << 16;
-    /**
-     * Sampled work/scheduling/idle accounting: read the clock around
-     * 1-in-2^N executed tasks instead of every one (0 == sample every
-     * task, the exact mode). Unsampled tasks are counted and their
-     * work is estimated from the last sampled task's duration at the
-     * next clock read, so bucket *totals* still sum to wall time; the
-     * split converges to the exact one for homogeneous tasks (the
-     * fine-grained regime where the two nowNs() calls — ~40ns/task —
-     * are worth cutting).
-     */
-    int timeSplitSampleShift = 0;
     /** Teardown policy for jobs still queued when the Runtime is
      * destroyed (see ShutdownPolicy). */
     ShutdownPolicy shutdownPolicy = ShutdownPolicy::Drain;
@@ -273,6 +262,15 @@ struct RuntimeStats
  * the group have completed, helping to execute work while waiting (first
  * its own deque — descendants only — then stealing, so a blocked worker is
  * never idle while work exists). Groups nest arbitrarily.
+ *
+ * A group belongs to the worker that constructs it: spawn, sync and
+ * pending() are owner-only (spawn asserts it, always on). That is what
+ * lets the join be lazy, after Cilk-5 (Frigo/Leiserson/Randall, PLDI'98):
+ * children the owner runs itself retire on a plain counter, and only
+ * children that migrated off the owner (TaskBase::stolen()) pay an
+ * atomic increment. A stolen child records its exception, if any,
+ * before that release increment, so sync() reads the exception without
+ * a lock once the join's acquire load has seen every thief finish.
  */
 class TaskGroup
 {
@@ -284,7 +282,9 @@ class TaskGroup
     TaskGroup &operator=(const TaskGroup &) = delete;
 
     /**
-     * Spawn @p fn as a child task.
+     * Spawn @p fn as a child task. Owner-only: a spawn from any other
+     * thread (say, a stolen child spawning into a captured outer group)
+     * panics.
      * @param place locality hint: a concrete place, kAnyPlace, or
      *        kInheritPlace (default) to adopt the spawner's current hint
      *        (the paper's "subsequently spawned computation inherits the
@@ -306,21 +306,38 @@ class TaskGroup
     /** Wait for all spawned tasks, then rethrow the first exception. */
     void sync();
 
-    /** Outstanding children (test/diagnostic hook). */
-    int64_t pending() const
+    /** Outstanding children. Owner-only (the owner's count is a plain
+     * integer); a test/diagnostic hook besides the join itself. */
+    int64_t
+    pending() const
     {
-        return _pending.load(std::memory_order_acquire);
+        return _pending - _stolenDone.load(std::memory_order_acquire);
     }
 
     /** @name Runtime-internal */
     /// @{
-    void onChildStart() { _pending.fetch_add(1, std::memory_order_relaxed); }
-    void onChildDone() { _pending.fetch_sub(1, std::memory_order_release); }
+    void onChildStart() { ++_pending; }
+    /** A child finished. @p stolen children run off the owner, so they
+     * publish on the atomic — the last touch of the group by a thief;
+     * the owner may destroy the group as soon as it observes it. */
+    void
+    onChildDone(bool stolen)
+    {
+        if (stolen)
+            _stolenDone.fetch_add(1, std::memory_order_release);
+        else
+            --_pending;
+    }
     void recordException(std::exception_ptr e);
     /// @}
 
   private:
-    std::atomic<int64_t> _pending{0};
+    Worker *const _owner;
+    /** Spawned minus finished-on-the-owner children (owner-only). */
+    int64_t _pending = 0;
+    /** Finished children that were marked stolen: the only write to
+     * the group from other workers besides recordException. */
+    std::atomic<int64_t> _stolenDone{0};
     SpinLock _exceptionLock;
     std::exception_ptr _exception;
 };
@@ -555,37 +572,17 @@ class Worker
      * sequence of segments, each attributed to exactly one bucket; nested
      * helping merely switches buckets, so nothing is double counted.
      *
-     * Sampled mode (RuntimeOptions::timeSplitSampleShift > 0): tasks
-     * executed without a clock read accumulate in _unsampledTasks; the
-     * next switch estimates their work as unsampled-count times the
-     * last sampled task's duration, clamped to the elapsed segment, and
-     * charges the remainder to the segment's nominal bucket — totals
-     * stay exactly wall time, only the split is approximated.
+     * The clock is read only on transitions off (and back onto) the
+     * work path: a task executed from inside a Work segment — an
+     * own-deque child popped by a sync, a nested yield — runs in the
+     * enclosing segment, so spawn overhead is work (the paper's
+     * Figure 3 meaning) and a local spawn+sync reads no clock at all.
      */
     void
     switchBucket(TimeSplit::Bucket b)
     {
         const int64_t t = nowNs();
-        int64_t elapsed = t - _mark;
-        if (_unsampledTasks > 0) {
-            // Mean over *all* sampled tasks, not the most recent one:
-            // task sizes are bimodal (tiny interior spawns, fat leaves)
-            // and a last-sample estimator collapses whenever the last
-            // sample happened to be an interior task, leaking leaf work
-            // into the enclosing Scheduling/Idle segment. Before the
-            // first sample completes (count == 0) the prior is that a
-            // segment known to contain task executions was all work.
-            int64_t est = elapsed;
-            if (_sampledTaskCount > 0)
-                est = (_sampledWorkNs / _sampledTaskCount)
-                    * _unsampledTasks;
-            if (est > elapsed)
-                est = elapsed;
-            _time.add(TimeSplit::Work, est);
-            elapsed -= est;
-            _unsampledTasks = 0;
-        }
-        _time.add(_bucket, elapsed);
+        _time.add(_bucket, t - _mark);
         _mark = t;
         _bucket = b;
     }
@@ -677,14 +674,6 @@ class Worker
     TimeSplit _time;
     TimeSplit::Bucket _bucket = TimeSplit::Idle;
     int64_t _mark = 0;
-    /** @name Sampled time-split state (timeSplitSampleShift) */
-    /// @{
-    uint32_t _sampleMask = 0; ///< 2^shift - 1; 0 samples every task
-    uint32_t _sampleCtr = 0;
-    int64_t _unsampledTasks = 0;
-    int64_t _sampledWorkNs = 0;   ///< summed work of sampled tasks
-    int64_t _sampledTaskCount = 0;
-    /// @}
 };
 
 /**
@@ -965,6 +954,7 @@ TaskGroup::spawn(F &&fn, Place place, const void *data,
 {
     Worker *w = Worker::current();
     NUMAWS_ASSERT(w != nullptr); // spawn only from inside run()
+    NUMAWS_ASSERT(w == _owner); // the join counter is owner-only
     // Cooperative cancellation boundary: a cancelled or past-deadline
     // job stops growing its tree here, and the JobCancelled unwind
     // rides the normal exception plumbing (recordException + sync

@@ -2,9 +2,11 @@
 
 #include "support/panic.h"
 
+#include <utility>
+
 namespace numaws {
 
-TaskGroup::TaskGroup() = default;
+TaskGroup::TaskGroup() : _owner(Worker::current()) {}
 
 TaskGroup::~TaskGroup()
 {
@@ -22,17 +24,14 @@ TaskGroup::sync()
 {
     Worker *w = Worker::current();
     NUMAWS_ASSERT(w != nullptr); // sync only from inside run()
+    NUMAWS_ASSERT(w == _owner);  // the join counter is owner-only
     w->helpSync(*this);
     NUMAWS_ASSERT(pending() == 0);
 
-    std::exception_ptr e;
-    {
-        std::lock_guard<SpinLock> g(_exceptionLock);
-        e = _exception;
-        _exception = nullptr;
-    }
-    if (e)
-        std::rethrow_exception(e);
+    // No lock: every thief recorded its exception before the release
+    // increment the join just acquired, and no child is left to write.
+    if (_exception)
+        std::rethrow_exception(std::exchange(_exception, nullptr));
 
     // Cooperative cancellation boundary, checked *after* the join: the
     // children are accounted for either way (a JobCancelled unwind must

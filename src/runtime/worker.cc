@@ -70,8 +70,7 @@ Worker::Worker(Runtime &runtime, int id, int place, uint64_t seed,
       _core(runtime.options().sched,
             EngineView{&runtime.stealDistribution(), &runtime.board()},
             id, place, seed),
-      _mark(nowNs()),
-      _sampleMask((1u << runtime.options().timeSplitSampleShift) - 1)
+      _mark(nowNs())
 {
     // Mailbox occupancy reaches the board from inside tryPut/tryTake, so
     // pushers and thieves publish transitions without extra call sites;
@@ -356,17 +355,14 @@ Worker::placeForData(const void *data, std::size_t bytes) const
 void
 Worker::executeTask(TaskBase *task)
 {
-    // Sampled time split: only 1-in-2^timeSplitSampleShift tasks pay
-    // the two clock reads bracketing execution (~40ns/task in the
-    // fine-grained regime); the rest are counted and reclassified from
-    // the enclosing segment at the next real read (switchBucket). The
-    // default shift of 0 samples every task — the exact mode.
-    const bool sampled = (_sampleCtr++ & _sampleMask) == 0;
-    int64_t work_before = 0;
-    if (sampled) {
+    // Time split: only an entry from off the work path (the scheduling
+    // loop after a claim or steal, helpJob, a sync that fell back to
+    // stealing) opens a Work segment and reads the clock; a task run
+    // from inside one — an own-deque child popped by a sync — is part
+    // of its enclosing segment.
+    const bool opens_work = _bucket != TimeSplit::Work;
+    if (opens_work)
         switchBucket(TimeSplit::Work);
-        work_before = _time.ns(TimeSplit::Work);
-    }
     const Place prev_hint = _currentHint;
     _currentHint = task->place();
     // Job context switches with the task (saved/restored like the hint):
@@ -407,27 +403,24 @@ Worker::executeTask(TaskBase *task)
                 ? static_cast<int8_t>(prev_job->opts.cls)
                 : static_cast<int8_t>(-1),
             std::memory_order_relaxed);
-    if (task->group() != nullptr)
-        task->group()->onChildDone();
     // Frame release sits on both the normal and the exception path
-    // above: a thrown task body still recycles its frame.
+    // above: a thrown task body still recycles its frame. It comes
+    // before the join: once the owner sees the child done, the
+    // closure is destroyed and the frame is back in its pool.
+    TaskGroup *const group = task->group();
+    const bool stolen = task->stolen();
     releaseTask(task);
-    // Liveness signal for the stall watchdog: one relaxed increment per
-    // completed task body.
-    _progressStamp.fetch_add(1, std::memory_order_relaxed);
-    if (sampled) {
+    // The join signal goes last: the owner may read the group's
+    // exception and destroy the group as soon as it sees it.
+    if (group != nullptr)
+        group->onChildDone(stolen);
+    // Liveness signal for the stall watchdog: this worker is the only
+    // writer, so a relaxed load+store, not a locked RMW.
+    _progressStamp.store(
+        _progressStamp.load(std::memory_order_relaxed) + 1,
+        std::memory_order_relaxed);
+    if (opens_work)
         switchBucket(TimeSplit::Idle);
-        // Work credited across this task's span (its own segment plus
-        // any nested helping): the per-task estimate the unsampled
-        // majority is charged at.
-        const int64_t w = _time.ns(TimeSplit::Work) - work_before;
-        if (w > 0) {
-            _sampledWorkNs += w;
-            ++_sampledTaskCount;
-        }
-    } else {
-        ++_unsampledTasks;
-    }
 }
 
 void
@@ -478,13 +471,21 @@ Worker::releaseTask(TaskBase *task)
 void
 Worker::helpSync(TaskGroup &group)
 {
-    // We are inside a task body (bucket == Work); the wait itself is not
-    // useful work until we actually find something to execute.
-    switchBucket(TimeSplit::Idle);
+    // We are inside a task body (bucket == Work). Popping and running
+    // our own children is the work path, with no clock read; the wait
+    // leaves Work only once the own deque and mailbox run dry (the
+    // remaining children were stolen) and we fall back to stealing.
+    bool left_work = false;
     while (group.pending() > 0) {
         TaskBase *t = acquireLocal();
-        if (t == nullptr && _runtime.workActive())
-            t = trySteal();
+        if (t == nullptr) {
+            if (!left_work) {
+                switchBucket(TimeSplit::Idle);
+                left_work = true;
+            }
+            if (_runtime.workActive())
+                t = trySteal();
+        }
         if (t != nullptr)
             executeTask(t);
         else
@@ -492,7 +493,8 @@ Worker::helpSync(TaskGroup &group)
                 cpuRelax();
     }
     // Control returns to the syncing task's body.
-    switchBucket(TimeSplit::Work);
+    if (left_work)
+        switchBucket(TimeSplit::Work);
 }
 
 void

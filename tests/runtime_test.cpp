@@ -1,13 +1,16 @@
 /**
  * @file
  * Threaded runtime tests: fork-join correctness, nesting, exceptions,
- * parallel_for semantics, repeated runs, and work-stealing liveness.
+ * parallel_for semantics, repeated runs, work-stealing liveness, and the
+ * lazy join's stolen-child paths.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "runtime/api.h"
@@ -218,6 +221,105 @@ TEST(Runtime, ManySmallRunsDoNotLeakWork)
         });
         ASSERT_EQ(n.load(), 20) << "round " << round;
     }
+}
+
+// ---------------------------------------------------------------------
+// Lazy join: owner-counted local children, atomically counted thieves
+// ---------------------------------------------------------------------
+
+/** Wait for @p pred on the calling worker without popping its deque,
+ * so every child it spawned can only run on a thief. Yields, so a
+ * 1-core host still schedules the thieves. */
+template <typename Pred>
+void
+spinUntil(Pred pred)
+{
+    while (!pred())
+        std::this_thread::yield();
+}
+
+TEST(LazyJoin, ThiefExceptionIsRethrownBySync)
+{
+    Runtime rt(smallOptions(2));
+    std::atomic<bool> started{false};
+    int owner = -1;
+    int runner = -1;
+    EXPECT_THROW(rt.run([&] {
+        TaskGroup tg;
+        owner = Worker::current()->id();
+        tg.spawn([&] {
+            runner = Worker::current()->id();
+            started.store(true, std::memory_order_release);
+            throw std::runtime_error("thief");
+        });
+        spinUntil([&] { return started.load(std::memory_order_acquire); });
+        tg.sync();
+    }),
+                 std::runtime_error);
+    EXPECT_NE(runner, owner);
+}
+
+TEST(LazyJoin, GroupFreedRightAfterSyncOutlivesEveryThief)
+{
+    // Each group lives on the heap and is freed the moment sync()
+    // returns: a thief touching its group after the release increment
+    // that retires its child is a heap-use-after-free under ASan. On
+    // even rounds the owner waits for every child to start before it
+    // syncs, so those children are all stolen; odd rounds race the
+    // owner's pops against the thieves.
+    constexpr int kRounds = 200;
+    constexpr int kChildren = 16;
+    Runtime rt(smallOptions(4));
+    rt.resetStats();
+    std::atomic<int> ran{0};
+    rt.run([&] {
+        for (int r = 0; r < kRounds; ++r) {
+            auto tg = std::make_unique<TaskGroup>();
+            std::atomic<int> started{0};
+            for (int i = 0; i < kChildren; ++i)
+                tg->spawn([&] {
+                    started.fetch_add(1, std::memory_order_relaxed);
+                    for (int k = 0; k < 200; ++k)
+                        cpuRelax();
+                    ran.fetch_add(1, std::memory_order_relaxed);
+                });
+            if (r % 2 == 0)
+                spinUntil([&] {
+                    return started.load(std::memory_order_relaxed)
+                           == kChildren;
+                });
+            tg->sync();
+            EXPECT_EQ(tg->pending(), 0);
+            tg.reset();
+        }
+    });
+    EXPECT_EQ(ran.load(), kRounds * kChildren);
+    EXPECT_GE(rt.stats().counters.steals,
+              static_cast<uint64_t>(kRounds / 2 * kChildren));
+}
+
+TEST(LazyJoinDeathTest, SpawnIntoAnOuterGroupFromAThiefPanics)
+{
+    // A stolen child spawning into its parent's group would race the
+    // owner's plain join counter; the owner assert turns it into a
+    // panic.
+    EXPECT_DEATH(
+        {
+            Runtime rt(smallOptions(2));
+            rt.run([&] {
+                TaskGroup outer;
+                std::atomic<bool> started{false};
+                outer.spawn([&] {
+                    started.store(true, std::memory_order_release);
+                    outer.spawn([] {});
+                });
+                spinUntil([&] {
+                    return started.load(std::memory_order_acquire);
+                });
+                outer.sync();
+            });
+        },
+        "assertion failed: w == _owner");
 }
 
 } // namespace
